@@ -10,13 +10,22 @@
 //! and decryption on both the CRT fast path and the classic full-width
 //! path (the pre-overhaul kernel, kept as the speedup baseline).
 //!
+//! The comparison's oblivious transfers get rows of their own, per OT
+//! group rather than per key size, measured interleaved: one transfer
+//! (`ot_single`, a batch of one), one 64-transfer batch (`ot_batch64`,
+//! the comparator's shape) and the whole 64-bit comparison
+//! (`compare64`: garbling, the batched OT and evaluation).
+//!
 //! ```text
 //! cargo run --release -p pem-bench --bin crypto_kernels -- \
-//!     --bits 512,1024,2048 --min-time-ms 300 --run-label dev
+//!     --bits 512,1024,2048 --ot-groups test192,modp1024,modp2048 \
+//!     --min-time-ms 300 --run-label dev
 //! ```
 //!
-//! Output: one JSON *trajectory run* (`{"run": …, "entries": […]}`, an
-//! entry per key size) followed by a human-readable table. CI runs a
+//! `--bits none` or `--ot-groups none` skips that half. Output: one JSON
+//! *trajectory run* (`{"run": …, "entries": […]}`, an entry per key size
+//! keyed by `key_bits`, then one per OT group keyed by `ot_group`)
+//! followed by a human-readable table. CI runs a
 //! reduced smoke sweep and uploads the JSON; `BENCH_crypto.json` at the
 //! repo root pins the committed trajectory — an array of such runs, one
 //! per engine generation.
@@ -25,8 +34,12 @@ use std::time::Instant;
 
 use pem_bench::Args;
 use pem_bignum::{BigUint, Montgomery};
+use pem_circuit::compare::secure_less_than_local;
+use pem_core::OtProfile;
 use pem_crypto::drbg::HashDrbg;
+use pem_crypto::ot::{run_local_ot, OtBatchReceiver, OtBatchSender};
 use pem_crypto::paillier::{Ciphertext, Keypair, PrivateKey, PublicKey, Randomizer};
+use rand::RngCore;
 
 /// One measured kernel: mean latency and throughput.
 struct Kernel {
@@ -53,10 +66,43 @@ fn measure<F: FnMut(u64)>(name: &'static str, min_time_ms: u64, mut op: F) -> Ke
     }
 }
 
-/// Measures two kernels *interleaved* in one loop, so clock drift and
-/// scheduler noise hit both sides equally — the only trustworthy way to
-/// take a ratio on a shared box. `ops_a`/`ops_b` scale one call of each
+/// Measures kernels *interleaved* in one loop, so clock drift and
+/// scheduler noise hit every side equally — the only trustworthy way to
+/// take a ratio on a shared box. `ops_per_call` scales one call of each
 /// closure to reported ops (e.g. a batch call covering 8 items).
+fn measure_interleaved(
+    names: &[&'static str],
+    min_time_ms: u64,
+    ops_per_call: &[f64],
+    ops: &mut [&mut dyn FnMut(u64)],
+) -> Vec<Kernel> {
+    for op in ops.iter_mut() {
+        op(0); // warm-up
+    }
+    let mut times = vec![0f64; ops.len()];
+    let mut iters = 0u64;
+    let start = Instant::now();
+    while start.elapsed().as_millis() < ops.len() as u128 * min_time_ms as u128 || iters < 3 {
+        for (op, t) in ops.iter_mut().zip(times.iter_mut()) {
+            let t0 = Instant::now();
+            op(iters);
+            *t += t0.elapsed().as_secs_f64();
+        }
+        iters += 1;
+    }
+    names
+        .iter()
+        .zip(&times)
+        .zip(ops_per_call)
+        .map(|((&name, &t), &per_call)| Kernel {
+            name,
+            ops_per_s: iters as f64 * per_call / t,
+            mean_us: t * 1e6 / (iters as f64 * per_call),
+        })
+        .collect()
+}
+
+/// [`measure_interleaved`] over two kernels.
 fn measure_pair<F: FnMut(u64), G: FnMut(u64)>(
     names: (&'static str, &'static str),
     min_time_ms: u64,
@@ -64,30 +110,15 @@ fn measure_pair<F: FnMut(u64), G: FnMut(u64)>(
     mut a: F,
     mut b: G,
 ) -> (Kernel, Kernel) {
-    a(0);
-    b(0); // warm-up
-    let mut ta = 0f64;
-    let mut tb = 0f64;
-    let mut iters = 0u64;
-    let start = Instant::now();
-    while start.elapsed().as_millis() < 2 * min_time_ms as u128 || iters < 3 {
-        let t0 = Instant::now();
-        a(iters);
-        ta += t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        b(iters);
-        tb += t1.elapsed().as_secs_f64();
-        iters += 1;
-    }
-    let kernel = |name, t: f64, per_call: f64| Kernel {
-        name,
-        ops_per_s: iters as f64 * per_call / t,
-        mean_us: t * 1e6 / (iters as f64 * per_call),
-    };
-    (
-        kernel(names.0, ta, ops_per_call.0),
-        kernel(names.1, tb, ops_per_call.1),
+    let mut pair = measure_interleaved(
+        &[names.0, names.1],
+        min_time_ms,
+        &[ops_per_call.0, ops_per_call.1],
+        &mut [&mut a, &mut b],
     )
+    .into_iter();
+    let a = pair.next().expect("two kernels");
+    (a, pair.next().expect("two kernels"))
 }
 
 struct SizeReport {
@@ -301,29 +332,113 @@ fn bench_size(bits: usize, min_time_ms: u64) -> SizeReport {
     }
 }
 
-fn json(label: &str, reports: &[SizeReport]) -> String {
-    let mut out = format!("{{\"run\": \"{label}\", \"entries\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"key_bits\": {}, \"keygen_ms\": {:.1}, ",
-            r.key_bits, r.keygen_ms
-        ));
-        for k in &r.kernels {
-            out.push_str(&format!(
+/// Transfers per batch in the `ot_batch64` row: the comparator's width.
+const OT_BATCH: usize = 64;
+
+/// `--ot-groups` names.
+const OT_GROUPS: [(&str, OtProfile); 3] = [
+    ("test192", OtProfile::Test192),
+    ("modp1024", OtProfile::Modp1024),
+    ("modp2048", OtProfile::Modp2048),
+];
+
+struct OtReport {
+    group: &'static str,
+    group_bits: usize,
+    kernels: Vec<Kernel>,
+}
+
+/// One OT group's rows, interleaved: a single transfer, a batch of
+/// [`OT_BATCH`] and a whole 64-bit comparison. Every call checks its
+/// result.
+fn bench_ot(name: &'static str, profile: OtProfile, min_time_ms: u64) -> OtReport {
+    let group = profile.group();
+    let mut rng = HashDrbg::from_seed_label(b"crypto-kernels-ot", group.p().bit_length() as u64);
+    let mut rng_single = HashDrbg::new(b"bench-ot-single");
+    let mut rng_batch = HashDrbg::new(b"bench-ot-batch");
+    let mut rng_compare = HashDrbg::new(b"bench-compare64");
+    let labels: Vec<([u8; 16], [u8; 16])> = (0..OT_BATCH)
+        .map(|i| ([i as u8; 16], [!(i as u8); 16]))
+        .collect();
+    let messages: Vec<(&[u8], &[u8])> = labels.iter().map(|(a, b)| (&a[..], &b[..])).collect();
+    let choices: Vec<bool> = (0..OT_BATCH).map(|_| rng.next_u32() & 1 == 1).collect();
+
+    let mut single = |i: u64| {
+        let choice = i % 2 == 1;
+        let (m0, m1) = &labels[0];
+        let got = run_local_ot(&group, m0, m1, choice, &mut rng_single).expect("ot");
+        assert_eq!(got, if choice { m1 } else { m0 });
+    };
+    let mut batch = |_: u64| {
+        let (sender, setup) = OtBatchSender::new(&group, &mut rng_batch);
+        let (receiver, replies) =
+            OtBatchReceiver::new(&group, &setup, &choices, &mut rng_batch).expect("setup");
+        let cts = sender.encrypt(&replies, &messages).expect("encrypt");
+        let got = receiver.decrypt(&cts).expect("decrypt");
+        for ((m, &c), (m0, m1)) in got.iter().zip(&choices).zip(&labels) {
+            assert_eq!(&m[..], if c { &m1[..] } else { &m0[..] });
+        }
+    };
+    let mut compare = |_: u64| {
+        let a = u128::from(rng_compare.next_u64());
+        let b = u128::from(rng_compare.next_u64());
+        let lt = secure_less_than_local(a, b, 64, &group, &mut rng_compare).expect("compare");
+        assert_eq!(lt, a < b);
+    };
+    let kernels = measure_interleaved(
+        &["ot_single", "ot_batch64", "compare64"],
+        min_time_ms,
+        &[1.0, 1.0, 1.0],
+        &mut [&mut single, &mut batch, &mut compare],
+    );
+    OtReport {
+        group: name,
+        group_bits: group.p().bit_length(),
+        kernels,
+    }
+}
+
+fn kernel_fields(kernels: &[Kernel]) -> String {
+    kernels
+        .iter()
+        .map(|k| {
+            format!(
                 "\"{}_ops_per_s\": {:.1}, \"{}_mean_us\": {:.1}, ",
                 k.name, k.ops_per_s, k.name, k.mean_us
-            ));
-        }
+            )
+        })
+        .collect()
+}
+
+fn json(label: &str, reports: &[SizeReport], ot: &[OtReport]) -> String {
+    let mut entries = Vec::new();
+    for r in reports {
         let tail: Vec<String> = r
             .speedups
             .iter()
             .map(|(name, v)| format!("\"{name}\": {v:.2}"))
             .collect();
-        out.push_str(&tail.join(", "));
-        out.push_str(if i + 1 < reports.len() { "},\n" } else { "}\n" });
+        entries.push(format!(
+            "  {{\"key_bits\": {}, \"keygen_ms\": {:.1}, {}{}}}",
+            r.key_bits,
+            r.keygen_ms,
+            kernel_fields(&r.kernels),
+            tail.join(", ")
+        ));
     }
-    out.push_str("]}");
-    out
+    for r in ot {
+        let fields = kernel_fields(&r.kernels);
+        entries.push(format!(
+            "  {{\"ot_group\": \"{}\", \"group_bits\": {}, {}}}",
+            r.group,
+            r.group_bits,
+            fields.trim_end_matches(", ")
+        ));
+    }
+    format!(
+        "{{\"run\": \"{label}\", \"entries\": [\n{}\n]}}",
+        entries.join(",\n")
+    )
 }
 
 fn main() {
@@ -331,10 +446,23 @@ fn main() {
     let bits = args.get_usize_list("bits", &[512, 1024, 2048]);
     let min_time_ms = args.get_u64("min-time-ms", 300);
     let label = args.get_str("run-label", "dev");
+    let ot_groups = args.get_str("ot-groups", "test192,modp1024,modp2048");
 
     let reports: Vec<SizeReport> = bits.iter().map(|&b| bench_size(b, min_time_ms)).collect();
+    let ot: Vec<OtReport> = ot_groups
+        .split(',')
+        .map(str::trim)
+        .filter(|g| !g.is_empty() && *g != "none")
+        .map(|g| match OT_GROUPS.iter().find(|(name, _)| *name == g) {
+            Some(&(name, profile)) => bench_ot(name, profile, min_time_ms),
+            None => {
+                eprintln!("unknown OT group {g:?} (test192, modp1024, modp2048)");
+                std::process::exit(2);
+            }
+        })
+        .collect();
 
-    println!("{}", json(&label, &reports));
+    println!("{}", json(&label, &reports, &ot));
     println!();
     println!("key_bits  kernel                  ops/s        mean");
     for r in &reports {
@@ -346,6 +474,14 @@ fn main() {
         }
         for (name, v) in &r.speedups {
             println!("{:>8}  {:<22} {:>10.2}x", r.key_bits, name, v);
+        }
+    }
+    for r in &ot {
+        for k in &r.kernels {
+            println!(
+                "{:>8}  {:<22} {:>10.1}  {:>8.1}µs",
+                r.group, k.name, k.ops_per_s, k.mean_us
+            );
         }
     }
 }

@@ -6,7 +6,8 @@
 //! nothing else. Three messages:
 //!
 //! 1. **Offer** (garbler → evaluator): garbled comparator, the labels
-//!    encoding the garbler's own bits, and one OT setup per evaluator bit.
+//!    encoding the garbler's own bits, and the one setup of a batched
+//!    OT covering every evaluator bit.
 //! 2. **Requests** (evaluator → garbler): one OT reply per input bit,
 //!    blinded by the evaluator's choice bits.
 //! 3. **Transfer** (garbler → evaluator): the OT ciphertexts carrying the
@@ -19,7 +20,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use pem_crypto::ot::{
-    DhGroup, OtCiphertexts, OtReceiver, OtReceiverReply, OtSender, OtSenderSetup,
+    DhGroup, OtBatchReceiver, OtBatchSender, OtCiphertexts, OtReceiverReply, OtSenderSetup,
 };
 
 use crate::circuit::{comparator_circuit, u128_to_bits};
@@ -35,7 +36,9 @@ pub struct CompareOffer {
     pub garbled: GarbledCircuit,
     /// Active labels for the garbler's input bits.
     pub garbler_labels: Vec<Label>,
-    /// One OT setup per evaluator input bit.
+    /// The setup of the batched OT for the evaluator's input bits —
+    /// exactly one; [`CompareEvaluator::respond`] rejects any other
+    /// count.
     pub ot_setups: Vec<OtSenderSetup>,
 }
 
@@ -56,7 +59,7 @@ pub struct CompareLabelCiphertexts {
 /// Garbler-side state machine for one comparison.
 #[derive(Debug)]
 pub struct CompareGarbler {
-    senders: Vec<OtSender>,
+    sender: OtBatchSender,
     evaluator_wire_labels: Vec<(Label, Label)>,
 }
 
@@ -81,26 +84,21 @@ impl CompareGarbler {
         let (garbled, secrets) = garble(&circuit, rng);
         let garbler_labels = secrets.garbler_labels(&u128_to_bits(value, width));
 
-        let mut senders = Vec::with_capacity(width);
-        let mut ot_setups = Vec::with_capacity(width);
-        let mut evaluator_wire_labels = Vec::with_capacity(width);
-        for i in 0..width {
-            let (sender, setup) = OtSender::new(group.clone(), rng);
-            senders.push(sender);
-            ot_setups.push(setup);
-            evaluator_wire_labels.push(secrets.evaluator_wire_labels(i));
-        }
+        let evaluator_wire_labels = (0..width)
+            .map(|i| secrets.evaluator_wire_labels(i))
+            .collect();
+        let (sender, setup) = OtBatchSender::new(group, rng);
 
         Ok((
             CompareGarbler {
-                senders,
+                sender,
                 evaluator_wire_labels,
             },
             CompareOffer {
                 width,
                 garbled,
                 garbler_labels,
-                ot_setups,
+                ot_setups: vec![setup],
             },
         ))
     }
@@ -115,18 +113,15 @@ impl CompareGarbler {
         self,
         requests: &CompareOtRequests,
     ) -> Result<CompareLabelCiphertexts, CircuitError> {
-        if requests.replies.len() != self.senders.len() {
+        if requests.replies.len() != self.evaluator_wire_labels.len() {
             return Err(CircuitError::MalformedGarbling("OT reply count mismatch"));
         }
-        let mut cts = Vec::with_capacity(self.senders.len());
-        for ((sender, reply), (l0, l1)) in self
-            .senders
-            .into_iter()
-            .zip(requests.replies.iter())
-            .zip(self.evaluator_wire_labels.iter())
-        {
-            cts.push(sender.encrypt(reply, &l0.0, &l1.0)?);
-        }
+        let messages: Vec<(&[u8], &[u8])> = self
+            .evaluator_wire_labels
+            .iter()
+            .map(|(l0, l1)| (&l0.0[..], &l1.0[..]))
+            .collect();
+        let cts = self.sender.encrypt(&requests.replies, &messages)?;
         Ok(CompareLabelCiphertexts { cts })
     }
 }
@@ -134,7 +129,7 @@ impl CompareGarbler {
 /// Evaluator-side state machine for one comparison.
 #[derive(Debug)]
 pub struct CompareEvaluator {
-    receivers: Vec<OtReceiver>,
+    receiver: OtBatchReceiver,
     garbled: GarbledCircuit,
     garbler_labels: Vec<Label>,
 }
@@ -161,23 +156,17 @@ impl CompareEvaluator {
         if offer.garbled.circuit().garbler_inputs() != width
             || offer.garbled.circuit().evaluator_inputs() != width
             || offer.garbler_labels.len() != width
-            || offer.ot_setups.len() != width
+            || offer.ot_setups.len() != 1
         {
             return Err(CircuitError::MalformedGarbling(
                 "offer shape does not match declared width",
             ));
         }
         let bits = u128_to_bits(value, width);
-        let mut receivers = Vec::with_capacity(width);
-        let mut replies = Vec::with_capacity(width);
-        for (setup, &bit) in offer.ot_setups.iter().zip(bits.iter()) {
-            let (receiver, reply) = OtReceiver::new(group.clone(), setup, bit, rng)?;
-            receivers.push(receiver);
-            replies.push(reply);
-        }
+        let (receiver, replies) = OtBatchReceiver::new(group, &offer.ot_setups[0], &bits, rng)?;
         Ok((
             CompareEvaluator {
-                receivers,
+                receiver,
                 garbled: offer.garbled,
                 garbler_labels: offer.garbler_labels,
             },
@@ -192,14 +181,14 @@ impl CompareEvaluator {
     ///
     /// OT or garbling inconsistencies.
     pub fn finish(self, transfer: &CompareLabelCiphertexts) -> Result<bool, CircuitError> {
-        if transfer.cts.len() != self.receivers.len() {
+        let width = self.garbler_labels.len();
+        if transfer.cts.len() != width {
             return Err(CircuitError::MalformedGarbling(
                 "OT ciphertext count mismatch",
             ));
         }
         let mut labels = self.garbler_labels;
-        for (receiver, ct) in self.receivers.into_iter().zip(transfer.cts.iter()) {
-            let bytes = receiver.decrypt(ct)?;
+        for bytes in self.receiver.decrypt(&transfer.cts)? {
             let arr: [u8; 16] = bytes
                 .try_into()
                 .map_err(|_| CircuitError::MalformedGarbling("label must be 16 bytes"))?;
@@ -271,6 +260,19 @@ mod tests {
         let mut rng = HashDrbg::new(b"cmp-malformed");
         let (_garbler, mut offer) = CompareGarbler::start(8, 5, &g, &mut rng).expect("start");
         offer.ot_setups.pop();
+        assert!(matches!(
+            CompareEvaluator::respond(offer, 9, &g, &mut rng),
+            Err(CircuitError::MalformedGarbling(_))
+        ));
+    }
+
+    #[test]
+    fn rejects_offer_with_more_than_one_ot_setup() {
+        let g = group();
+        let mut rng = HashDrbg::new(b"cmp-two-setups");
+        let (_garbler, mut offer) = CompareGarbler::start(8, 5, &g, &mut rng).expect("start");
+        assert_eq!(offer.ot_setups.len(), 1, "one batched OT per comparison");
+        offer.ot_setups.push(offer.ot_setups[0].clone());
         assert!(matches!(
             CompareEvaluator::respond(offer, 9, &g, &mut rng),
             Err(CircuitError::MalformedGarbling(_))

@@ -1,5 +1,7 @@
 //! PEM protocol configuration.
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use pem_crypto::ot::DhGroup;
@@ -25,13 +27,17 @@ pub enum OtProfile {
 }
 
 impl OtProfile {
-    /// Materializes the group.
+    /// The profile's group: a clone of one process-wide instance, so
+    /// every caller shares its Montgomery context and generator table,
+    /// each built once per process.
     pub fn group(self) -> DhGroup {
-        match self {
-            OtProfile::Test192 => DhGroup::test_192(),
-            OtProfile::Modp1024 => DhGroup::modp_1024(),
-            OtProfile::Modp2048 => DhGroup::modp_2048(),
-        }
+        static GROUPS: [OnceLock<DhGroup>; 3] = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+        let (slot, build): (usize, fn() -> DhGroup) = match self {
+            OtProfile::Test192 => (0, DhGroup::test_192),
+            OtProfile::Modp1024 => (1, DhGroup::modp_1024),
+            OtProfile::Modp2048 => (2, DhGroup::modp_2048),
+        };
+        GROUPS[slot].get_or_init(build).clone()
     }
 }
 
@@ -271,5 +277,15 @@ mod tests {
         assert_eq!(OtProfile::Test192.group().p().bit_length(), 192);
         assert_eq!(OtProfile::Modp1024.group().p().bit_length(), 1024);
         assert_eq!(OtProfile::Modp2048.group().p().bit_length(), 2048);
+    }
+
+    #[test]
+    fn ot_profile_groups_share_their_tables() {
+        // Both clones are taken before the table is built: the build
+        // through one must be visible through the other.
+        let a = OtProfile::Test192.group();
+        let b = OtProfile::Test192.group();
+        assert!(std::ptr::eq(a.g_table(), b.g_table()));
+        assert!(std::ptr::eq(a.g_table(), a.clone().g_table()));
     }
 }

@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 
 mod agents;
+mod codec;
 mod config;
 mod error;
 pub mod fabric_window;

@@ -25,7 +25,7 @@ use pem_circuit::compare::{
 use pem_circuit::garble::{GarbledCircuit, Label};
 use pem_circuit::{comparator_circuit, CircuitError};
 use pem_crypto::drbg::HashDrbg;
-use pem_crypto::ot::{OtCiphertexts, OtReceiverReply, OtSenderSetup};
+use pem_crypto::ot::{DhGroup, OtCiphertexts, OtReceiverReply, OtSenderSetup};
 use pem_crypto::paillier::Ciphertext;
 use pem_fabric::{Outbound, ProtocolStateMachine, Transition};
 use pem_market::Role;
@@ -35,6 +35,7 @@ use pem_telemetry::Span;
 use rand::Rng;
 
 use crate::agents::AgentCtx;
+use crate::codec::{get_ct, put_ct};
 use crate::config::PemConfig;
 use crate::error::PemError;
 use crate::keys::KeyDirectory;
@@ -241,10 +242,10 @@ impl<'a> MaskedAggMachine<'a> {
         })
     }
 
-    fn pack(&self) -> Vec<u8> {
+    fn pack(&self) -> Result<Vec<u8>, PemError> {
         let mut w = WireWriter::new();
-        w.put_biguint(self.acc.as_biguint());
-        w.finish()
+        put_ct(&mut w, self.keys.public(self.collector), &self.acc)?;
+        Ok(w.finish())
     }
 
     /// The party the travelling ciphertext goes to next.
@@ -267,7 +268,7 @@ impl ProtocolStateMachine for MaskedAggMachine<'_> {
             from: PartyId(self.chain[0]),
             to: self.next_party(),
             label: self.label,
-            payload: self.pack(),
+            payload: self.pack()?,
         }])
     }
 
@@ -282,8 +283,7 @@ impl ProtocolStateMachine for MaskedAggMachine<'_> {
     fn on_message(&mut self, env: Envelope) -> Result<Transition<u128>, PemError> {
         let pk = self.keys.public(self.collector);
         let mut r = WireReader::new(&env.payload);
-        let received = Ciphertext::from_biguint(r.get_biguint()?);
-        pk.validate_ciphertext(&received)?;
+        let received = get_ct(&mut r, pk)?;
         if self.hop < self.chain.len() {
             // A chain member multiplies in its encrypted contribution
             // and forwards the accumulator.
@@ -294,7 +294,7 @@ impl ProtocolStateMachine for MaskedAggMachine<'_> {
                 from,
                 to: self.next_party(),
                 label: self.label,
-                payload: self.pack(),
+                payload: self.pack()?,
             }]))
         } else {
             // The collector contributes its own nonce locally and
@@ -331,12 +331,12 @@ pub(crate) fn run_compare<T: Transport>(
     let compare_span = Span::enter_at("eval/compare", "protocol", net.now_us());
     let group = cfg.ot_profile.group();
     let (garbler, offer) = CompareGarbler::start(cfg.compare_bits, masked_supply, &group, rng)?;
-    send_offer(net, PartyId(hr2), PartyId(hr1), &offer)?;
-    let offer = recv_offer(net, PartyId(hr1), cfg.compare_bits)?;
+    send_offer(net, PartyId(hr2), PartyId(hr1), &offer, &group)?;
+    let offer = recv_offer(net, PartyId(hr1), cfg.compare_bits, &group)?;
 
     let (evaluator, requests) = CompareEvaluator::respond(offer, masked_demand, &group, rng)?;
-    send_requests(net, PartyId(hr1), PartyId(hr2), &requests)?;
-    let requests = recv_requests(net, PartyId(hr2))?;
+    send_requests(net, PartyId(hr1), PartyId(hr2), &requests, &group)?;
+    let requests = recv_requests(net, PartyId(hr2), &group)?;
 
     let transfer = garbler.provide_labels(&requests)?;
     send_transfer(net, PartyId(hr2), PartyId(hr1), &transfer)?;
@@ -387,6 +387,7 @@ fn send_offer<T: Transport>(
     from: PartyId,
     to: PartyId,
     offer: &CompareOffer,
+    group: &DhGroup,
 ) -> Result<(), PemError> {
     let mut w = WireWriter::new();
     w.put_varint(offer.width as u64);
@@ -406,7 +407,7 @@ fn send_offer<T: Transport>(
     }
     w.put_varint(offer.ot_setups.len() as u64);
     for s in &offer.ot_setups {
-        w.put_biguint(&s.big_a);
+        w.put_biguint_fixed(&s.big_a, group.p())?;
     }
     net.send(from, to, "eval/gc-offer", w.finish())?;
     Ok(())
@@ -416,6 +417,7 @@ fn recv_offer<T: Transport>(
     net: &mut T,
     at: PartyId,
     expected_width: usize,
+    group: &DhGroup,
 ) -> Result<CompareOffer, PemError> {
     let env = net.recv_expect(at, "eval/gc-offer")?;
     let mut r = WireReader::new(&env.payload);
@@ -444,11 +446,11 @@ fn recv_offer<T: Transport>(
     for _ in 0..labels_len {
         garbler_labels.push(get_label(&mut r)?);
     }
-    let setups_len = r.get_varint()? as usize;
-    let mut ot_setups = Vec::with_capacity(setups_len);
+    let setups_len = r.get_varint()?;
+    let mut ot_setups = Vec::new();
     for _ in 0..setups_len {
         ot_setups.push(OtSenderSetup {
-            big_a: r.get_biguint()?,
+            big_a: r.get_biguint_fixed(group.p())?,
         });
     }
     // The comparator topology is public: rebuild it locally.
@@ -466,24 +468,29 @@ fn send_requests<T: Transport>(
     from: PartyId,
     to: PartyId,
     requests: &CompareOtRequests,
+    group: &DhGroup,
 ) -> Result<(), PemError> {
     let mut w = WireWriter::new();
     w.put_varint(requests.replies.len() as u64);
     for reply in &requests.replies {
-        w.put_biguint(&reply.big_b);
+        w.put_biguint_fixed(&reply.big_b, group.p())?;
     }
     net.send(from, to, "eval/gc-ot-request", w.finish())?;
     Ok(())
 }
 
-fn recv_requests<T: Transport>(net: &mut T, at: PartyId) -> Result<CompareOtRequests, PemError> {
+fn recv_requests<T: Transport>(
+    net: &mut T,
+    at: PartyId,
+    group: &DhGroup,
+) -> Result<CompareOtRequests, PemError> {
     let env = net.recv_expect(at, "eval/gc-ot-request")?;
     let mut r = WireReader::new(&env.payload);
     let len = r.get_varint()? as usize;
     let mut replies = Vec::with_capacity(len);
     for _ in 0..len {
         replies.push(OtReceiverReply {
-            big_b: r.get_biguint()?,
+            big_b: r.get_biguint_fixed(group.p())?,
         });
     }
     Ok(CompareOtRequests { replies })

@@ -18,6 +18,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::agents::AgentCtx;
+use crate::codec::{get_ct, put_ct};
 use crate::config::PemConfig;
 use crate::error::PemError;
 use crate::keys::KeyDirectory;
@@ -334,20 +335,23 @@ impl<'a> PricingMachine<'a> {
         })
     }
 
-    fn pair_payload(k: &Ciphertext, d: &Ciphertext) -> Vec<u8> {
+    fn pair_out(
+        &self,
+        from: usize,
+        to: usize,
+        k: &Ciphertext,
+        d: &Ciphertext,
+    ) -> Result<Outbound, PemError> {
+        let pk = self.keys.public(self.hb);
         let mut w = WireWriter::new();
-        w.put_biguint(k.as_biguint());
-        w.put_biguint(d.as_biguint());
-        w.finish()
-    }
-
-    fn pair_out(&self, from: usize, to: usize, k: &Ciphertext, d: &Ciphertext) -> Outbound {
-        Outbound {
+        put_ct(&mut w, pk, k)?;
+        put_ct(&mut w, pk, d)?;
+        Ok(Outbound {
             from: PartyId(from),
             to: PartyId(to),
             label: "price/agg",
-            payload: Self::pair_payload(k, d),
-        }
+            payload: w.finish(),
+        })
     }
 
     /// The parent of seller position `pos` in the f-ary tree (`H_b` for
@@ -369,12 +373,9 @@ impl<'a> PricingMachine<'a> {
         d_ct: Ciphertext,
         vts: u64,
     ) -> Result<Transition<PricingOutcome>, PemError> {
-        let pk = self.keys.public(self.hb);
         if let Some(span) = self.agg_span.take() {
             span.finish_at(vts);
         }
-        pk.validate_ciphertext(&k_ct)?;
-        pk.validate_ciphertext(&d_ct)?;
 
         // … who decrypts the two aggregates (and nothing else — Lemma 3).
         let quantizer = self.cfg.quantizer();
@@ -439,17 +440,13 @@ fn tree_children(pos: usize, f: usize, m: usize) -> usize {
     }
 }
 
-/// Decodes one `price/agg` pair and validates both halves.
+/// Decodes one `price/agg` pair, both halves validated.
 fn decode_pair(
     pk: &pem_crypto::paillier::PublicKey,
     payload: &[u8],
 ) -> Result<(Ciphertext, Ciphertext), PemError> {
     let mut r = WireReader::new(payload);
-    let k = Ciphertext::from_biguint(r.get_biguint()?);
-    let d = Ciphertext::from_biguint(r.get_biguint()?);
-    pk.validate_ciphertext(&k)?;
-    pk.validate_ciphertext(&d)?;
-    Ok((k, d))
+    Ok((get_ct(&mut r, pk)?, get_ct(&mut r, pk)?))
 }
 
 impl ProtocolStateMachine for PricingMachine<'_> {
@@ -476,7 +473,7 @@ impl ProtocolStateMachine for PricingMachine<'_> {
                 // it is alone).
                 let (k, d) = self.terms[0].take().expect("computed at construction");
                 let to = if m > 1 { self.sellers[1] } else { self.hb };
-                let out = self.pair_out(self.sellers[0], to, &k, &d);
+                let out = self.pair_out(self.sellers[0], to, &k, &d)?;
                 if m == 1 {
                     self.state = PricingState::AwaitFinal;
                 }
@@ -490,7 +487,7 @@ impl ProtocolStateMachine for PricingMachine<'_> {
                 let mut outs = Vec::with_capacity(m);
                 for pos in 0..m {
                     let (k, d) = self.terms[pos].take().expect("computed at construction");
-                    outs.push(self.pair_out(self.sellers[pos], self.hb, &k, &d));
+                    outs.push(self.pair_out(self.sellers[pos], self.hb, &k, &d)?);
                 }
                 Ok(outs)
             }
@@ -503,7 +500,12 @@ impl ProtocolStateMachine for PricingMachine<'_> {
                 for pos in (0..m).rev() {
                     if tree_children(pos, f, m) == 0 {
                         let (k, d) = self.terms[pos].take().expect("computed at construction");
-                        outs.push(self.pair_out(self.sellers[pos], self.tree_parent(pos), &k, &d));
+                        outs.push(self.pair_out(
+                            self.sellers[pos],
+                            self.tree_parent(pos),
+                            &k,
+                            &d,
+                        )?);
                     }
                 }
                 Ok(outs)
@@ -539,7 +541,7 @@ impl ProtocolStateMachine for PricingMachine<'_> {
                 } else {
                     (self.hb, None)
                 };
-                let out = self.pair_out(self.sellers[hop], to, &k_acc, &d_acc);
+                let out = self.pair_out(self.sellers[hop], to, &k_acc, &d_acc)?;
                 self.state = match next_state {
                     Some(hop) => PricingState::Ring { hop },
                     None => PricingState::AwaitFinal,
@@ -592,7 +594,8 @@ impl ProtocolStateMachine for PricingMachine<'_> {
                 // Node complete: forward to the parent, then move to the
                 // next (lower) position — every one of which is an inner
                 // node, since leaves occupy the trailing positions.
-                let out = self.pair_out(self.sellers[pos], self.tree_parent(pos), &k_acc, &d_acc);
+                let out =
+                    self.pair_out(self.sellers[pos], self.tree_parent(pos), &k_acc, &d_acc)?;
                 self.state = if pos == 0 {
                     PricingState::AwaitFinal
                 } else {
@@ -608,9 +611,7 @@ impl ProtocolStateMachine for PricingMachine<'_> {
                 Ok(Transition::Send(vec![out]))
             }
             PricingState::AwaitFinal => {
-                let mut r = WireReader::new(&env.payload);
-                let k_ct = Ciphertext::from_biguint(r.get_biguint()?);
-                let d_ct = Ciphertext::from_biguint(r.get_biguint()?);
+                let (k_ct, d_ct) = decode_pair(pk, &env.payload)?;
                 self.finish_aggregation(k_ct, d_ct, env.arrival_us)
             }
             PricingState::Consume { next } => {

@@ -24,13 +24,14 @@
 use pem_bignum::BigUint;
 use pem_crypto::commit::{Commitment, PedersenParams};
 use pem_crypto::drbg::HashDrbg;
-use pem_crypto::paillier::Ciphertext;
+use pem_crypto::paillier::{Ciphertext, PublicKey};
 use pem_net::wire::{WireReader, WireWriter};
 use pem_net::{PartyId, Transport};
 use pem_telemetry::Span;
 use rand::Rng;
 
 use crate::agents::AgentCtx;
+use crate::codec::{get_ct, put_ct};
 use crate::config::PemConfig;
 use crate::error::PemError;
 use crate::keys::KeyDirectory;
@@ -132,18 +133,14 @@ pub fn run<T: Transport>(
     for hop in 1..sellers.len() {
         let prev = sellers[hop - 1];
         let cur = sellers[hop];
-        let mut w = WireWriter::new();
-        w.put_biguint(ct_acc.as_biguint());
-        w.put_biguint(&com_acc.0);
-        w.put_biguint(blind_acc.as_biguint());
-        net.send(PartyId(prev), PartyId(cur), "vprice/agg", w.finish())?;
+        net.send(
+            PartyId(prev),
+            PartyId(cur),
+            "vprice/agg",
+            pack_triple(pk, pedersen, &ct_acc, &com_acc, &blind_acc)?,
+        )?;
         let env = net.recv_expect(PartyId(cur), "vprice/agg")?;
-        let mut r = WireReader::new(&env.payload);
-        let ct_in = Ciphertext::from_biguint(r.get_biguint()?);
-        let com_in = Commitment(r.get_biguint()?);
-        let blind_in = Ciphertext::from_biguint(r.get_biguint()?);
-        pk.validate_ciphertext(&ct_in)?;
-        pk.validate_ciphertext(&blind_in)?;
+        let (ct_in, com_in, blind_in) = unpack_triple(pk, pedersen, &env.payload)?;
 
         let own = contribution(cur)?;
         ct_acc = pk.add_ciphertexts(&ct_in, &own.ct);
@@ -151,18 +148,14 @@ pub fn run<T: Transport>(
         blind_acc = pk.add_ciphertexts(&blind_in, &own.blind_ct);
     }
     let last = *sellers.last().expect("non-empty");
-    let mut w = WireWriter::new();
-    w.put_biguint(ct_acc.as_biguint());
-    w.put_biguint(&com_acc.0);
-    w.put_biguint(blind_acc.as_biguint());
-    net.send(PartyId(last), PartyId(hb), "vprice/agg", w.finish())?;
+    net.send(
+        PartyId(last),
+        PartyId(hb),
+        "vprice/agg",
+        pack_triple(pk, pedersen, &ct_acc, &com_acc, &blind_acc)?,
+    )?;
     let env = net.recv_expect(PartyId(hb), "vprice/agg")?;
-    let mut r = WireReader::new(&env.payload);
-    let ct_final = Ciphertext::from_biguint(r.get_biguint()?);
-    let com_final = Commitment(r.get_biguint()?);
-    let blind_final = Ciphertext::from_biguint(r.get_biguint()?);
-    pk.validate_ciphertext(&ct_final)?;
-    pk.validate_ciphertext(&blind_final)?;
+    let (ct_final, com_final, blind_final) = unpack_triple(pk, pedersen, &env.payload)?;
     agg_span.finish_at(net.now_us());
 
     // H_b decrypts the sum and the aggregated blinding, then audits.
@@ -212,6 +205,35 @@ pub fn run<T: Transport>(
         hb,
         integrity_ok,
     })
+}
+
+/// Encodes one `vprice/agg` hop: ciphertext, commitment and blinding
+/// ciphertext, each at its fixed width.
+fn pack_triple(
+    pk: &PublicKey,
+    pedersen: &PedersenParams,
+    ct: &Ciphertext,
+    com: &Commitment,
+    blind: &Ciphertext,
+) -> Result<Vec<u8>, PemError> {
+    let mut w = WireWriter::new();
+    put_ct(&mut w, pk, ct)?;
+    w.put_biguint_fixed(&com.0, pedersen.group().p())?;
+    put_ct(&mut w, pk, blind)?;
+    Ok(w.finish())
+}
+
+/// Decodes one `vprice/agg` hop, every element range-checked.
+fn unpack_triple(
+    pk: &PublicKey,
+    pedersen: &PedersenParams,
+    payload: &[u8],
+) -> Result<(Ciphertext, Commitment, Ciphertext), PemError> {
+    let mut r = WireReader::new(payload);
+    let ct = get_ct(&mut r, pk)?;
+    let com = Commitment(r.get_biguint_fixed(pedersen.group().p())?);
+    let blind = get_ct(&mut r, pk)?;
+    Ok((ct, com, blind))
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@ use pem_telemetry::Span;
 use rand::Rng;
 
 use crate::agents::AgentCtx;
+use crate::codec::{get_ct, put_ct};
 use crate::config::PemConfig;
 use crate::error::PemError;
 use crate::keys::KeyDirectory;
@@ -91,12 +92,10 @@ pub fn run<T: Transport>(
         let prev = ratio_side[hop - 1];
         let cur = ratio_side[hop];
         let mut w = WireWriter::new();
-        w.put_biguint(acc.as_biguint());
+        put_ct(&mut w, pk, &acc)?;
         net.send(PartyId(prev), PartyId(cur), "dist/total-agg", w.finish())?;
         let env = net.recv_expect(PartyId(cur), "dist/total-agg")?;
-        let mut r = WireReader::new(&env.payload);
-        let received = Ciphertext::from_biguint(r.get_biguint()?);
-        pk.validate_ciphertext(&received)?;
+        let received = get_ct(&mut WireReader::new(&env.payload), pk)?;
         let own = randpool::encrypt_under(pk, decryptor, &contribution(cur), pool, rng)?;
         acc = pk.add_ciphertexts(&received, &own);
     }
@@ -106,7 +105,7 @@ pub fn run<T: Transport>(
     let mut enc_total_per_member: Vec<Ciphertext> = Vec::with_capacity(ratio_side.len());
     {
         let mut w = WireWriter::new();
-        w.put_biguint(acc.as_biguint());
+        put_ct(&mut w, pk, &acc)?;
         let bytes = w.finish();
         for &member in ratio_side.iter() {
             if member == last {
@@ -125,10 +124,7 @@ pub fn run<T: Transport>(
                 continue;
             }
             let env = net.recv_expect(PartyId(member), "dist/total-bcast")?;
-            let mut r = WireReader::new(&env.payload);
-            let ct = Ciphertext::from_biguint(r.get_biguint()?);
-            pk.validate_ciphertext(&ct)?;
-            enc_total_per_member.push(ct);
+            enc_total_per_member.push(get_ct(&mut WireReader::new(&env.payload), pk)?);
         }
     }
     agg_span.finish_at(net.now_us());
@@ -148,7 +144,7 @@ pub fn run<T: Transport>(
             &pem_bignum::BigUint::zero(),
         );
         let mut w = WireWriter::new();
-        w.put_biguint(ct.as_biguint());
+        put_ct(&mut w, pk, &ct)?;
         net.send(
             PartyId(member),
             PartyId(decryptor),
@@ -164,10 +160,7 @@ pub fn run<T: Transport>(
     let mut ratio_cts = Vec::with_capacity(ratio_side.len());
     for _ in 0..ratio_side.len() {
         let env = net.recv_expect(PartyId(decryptor), "dist/ratio-req")?;
-        let mut r = WireReader::new(&env.payload);
-        let ct = Ciphertext::from_biguint(r.get_biguint()?);
-        pk.validate_ciphertext(&ct)?;
-        ratio_cts.push(ct);
+        ratio_cts.push(get_ct(&mut WireReader::new(&env.payload), pk)?);
     }
     let mut ratios = Vec::with_capacity(ratio_side.len());
     for m in sk.decrypt_batch(&ratio_cts) {

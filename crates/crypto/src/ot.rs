@@ -1,20 +1,29 @@
-//! 1-out-of-2 oblivious transfer over `Z_p*`.
+//! Batched 1-out-of-2 oblivious transfer over `Z_p*`.
 //!
 //! PEM's Private Market Evaluation (Protocol 2) ends with a garbled-circuit
 //! comparison between two randomly chosen agents; the circuit evaluator
-//! obtains the wire labels for its own input bits via OT. We implement the
-//! Chou–Orlandi ("simplest OT") message flow in a prime-order subgroup of
-//! `Z_p*` with `p` a safe prime, secure against semi-honest adversaries
-//! (the paper's threat model, Section II-B):
+//! obtains the wire labels for its own input bits via OT. We implement
+//! the Chou–Orlandi "simplest OT" (LATINCRYPT 2015) in a prime-order
+//! subgroup of `Z_p*` with `p` a safe prime, secure against semi-honest
+//! adversaries (the paper's threat model, Section II-B). As in the
+//! published protocol, one sender setup serves a whole batch of `n`
+//! transfers:
 //!
 //! ```text
-//! Sender:            a ←$ [1, q),  A = g^a
-//! Receiver(c):       b ←$ [1, q),  B = g^b        if c = 0
-//!                                  B = A · g^b    if c = 1
-//! Sender:            k0 = H(B^a), k1 = H((B/A)^a)
-//!                    e_i = m_i ⊕ KDF(k_i)
-//! Receiver:          k_c = H(A^b) → m_c = e_c ⊕ KDF(k_c)
+//! Sender:            a ←$ [1, q),  A = g^a,  T = A^a        (once per batch)
+//! Receiver(c_i):     b_i ←$ [1, q),  B_i = g^{b_i}          if c_i = 0
+//!                                    B_i = A · g^{b_i}      if c_i = 1
+//! Sender:            k0_i = H(i, A, B_i, B_i^a)
+//!                    k1_i = H(i, A, B_i, B_i^a · T⁻¹)       ((B_i/A)^a)
+//!                    e_{j,i} = m_{j,i} ⊕ KDF(kj_i)
+//! Receiver:          k_i = H(i, A, B_i, A^{b_i}) → m_{c_i,i} = e_{c_i,i} ⊕ KDF(k_i)
 //! ```
+//!
+//! The sender's `B_i^a` share one exponent recoding and one scratch; the
+//! receiver's `A^{b_i}` come off one comb table on `A` once the batch is
+//! long enough to repay building it. Keys bind the transfer index, so a
+//! ciphertext moved to another index decrypts to noise. A single OT is a
+//! batch of one ([`run_local_ot`]).
 //!
 //! Groups: RFC 2409 Oakley Group 2 (1024-bit) and RFC 3526 Group 14
 //! (2048-bit), plus a 192-bit safe-prime group for fast unit tests. All
@@ -22,13 +31,32 @@
 
 use std::sync::{Arc, OnceLock};
 
+use pem_telemetry::Counter;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use pem_bignum::{BigUint, FixedBasePow, Montgomery};
+use pem_bignum::{BigUint, ExpDigits, FixedBasePow, Montgomery};
 
 use crate::error::CryptoError;
 use crate::sha256::{kdf, Sha256};
+
+/// Transfers completed and batches run (sender side) — no-ops until a
+/// telemetry collector is installed.
+static OT_TRANSFERS: Counter = Counter::new();
+static OT_BATCHES: Counter = Counter::new();
+
+fn register_ot_counters() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        pem_telemetry::register_counter("ot/transfers", &OT_TRANSFERS);
+        pem_telemetry::register_counter("ot/batches", &OT_BATCHES);
+    });
+}
+
+/// Smallest batch for which the receiver builds a comb table on `A`:
+/// the build costs about five ladders and each comb pow saves about
+/// four fifths of one, so shorter batches stay on the ladder.
+const RECEIVER_COMB_MIN_BATCH: usize = 8;
 
 /// RFC 2409 Oakley Group 2 prime (1024-bit safe prime), generator 2.
 const MODP_1024_HEX: &str = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74\
@@ -52,6 +80,10 @@ E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718\
 const TEST_192_HEX: &str = "B664FE32B4E948E95FD8E69DD893AD839349C3CF7FC02893";
 
 /// A multiplicative group `Z_p*` (safe prime `p`) with fixed generator.
+///
+/// The Montgomery context and the generator's comb table are built
+/// lazily and live behind `Arc`s: clones share them, so a group cloned
+/// before first use still builds each of them once.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DhGroup {
     p: BigUint,
@@ -59,13 +91,11 @@ pub struct DhGroup {
     /// Subgroup order `q = (p-1)/2`.
     q: BigUint,
     #[serde(skip)]
-    mont: OnceLock<Arc<Montgomery>>,
-    /// Comb table for the generator: every `g^x` (one per OT flow, two
-    /// per Pedersen commitment) costs window-count multiplications
-    /// instead of a full square-and-multiply ladder. Built lazily on
-    /// first use, bit-identical results.
+    mont: Arc<OnceLock<Montgomery>>,
+    /// Comb table for the generator: every `g^x` costs window-count
+    /// multiplications instead of a full square-and-multiply ladder.
     #[serde(skip)]
-    g_table: OnceLock<Arc<FixedBasePow>>,
+    g_table: Arc<OnceLock<FixedBasePow>>,
 }
 
 impl PartialEq for DhGroup {
@@ -90,8 +120,8 @@ impl DhGroup {
             p,
             g,
             q,
-            mont: OnceLock::new(),
-            g_table: OnceLock::new(),
+            mont: Arc::new(OnceLock::new()),
+            g_table: Arc::new(OnceLock::new()),
         }
     }
 
@@ -140,17 +170,22 @@ impl DhGroup {
         &self.q
     }
 
-    fn mont(&self) -> &Arc<Montgomery> {
+    /// Bytes of a fixed-width element encoding: `⌈bits(p)/8⌉`.
+    fn element_len(&self) -> usize {
+        self.p.bit_length().div_ceil(8)
+    }
+
+    fn mont(&self) -> &Montgomery {
         self.mont
-            .get_or_init(|| Arc::new(Montgomery::new(self.p.clone()).expect("odd p")))
+            .get_or_init(|| Montgomery::new(self.p.clone()).expect("odd p"))
     }
 
     /// The generator's comb table, sized for subgroup exponents (wider
     /// exponents fall back to the generic ladder inside
     /// [`FixedBasePow::pow`]).
-    pub fn g_table(&self) -> &Arc<FixedBasePow> {
+    pub fn g_table(&self) -> &FixedBasePow {
         self.g_table
-            .get_or_init(|| Arc::new(self.mont().fixed_base_table(&self.g, self.q.bit_length())))
+            .get_or_init(|| self.mont().fixed_base_table(&self.g, self.q.bit_length()))
     }
 
     /// `base^exp mod p`.
@@ -159,8 +194,9 @@ impl DhGroup {
     }
 
     /// Builds a comb table for an arbitrary base over this group's
-    /// modulus, sized for subgroup exponents (Pedersen's `h` uses this;
-    /// the generator's table is cached on the group itself).
+    /// modulus, sized for subgroup exponents (Pedersen's `h` and the OT
+    /// receiver's `A` use this; the generator's table is cached on the
+    /// group itself).
     pub fn fixed_base_table(&self, base: &BigUint) -> FixedBasePow {
         self.mont().fixed_base_table(base, self.q.bit_length())
     }
@@ -198,32 +234,46 @@ impl DhGroup {
     }
 }
 
-/// Hashes a group element (with transcript context) into a symmetric key.
-fn derive_key(shared: &BigUint, big_a: &BigUint, big_b: &BigUint, index: u8) -> [u8; 32] {
+/// Derives transfer `index`'s key from its shared point, binding the
+/// batch setup `A` and the receiver's `B` (all at fixed width).
+fn derive_key(
+    group: &DhGroup,
+    index: usize,
+    big_a: &BigUint,
+    big_b: &BigUint,
+    shared: &BigUint,
+) -> [u8; 32] {
+    let len = group.element_len();
     let mut h = Sha256::new();
     h.update(b"pem-ot-key");
-    h.update(&[index]);
-    h.update(&shared.to_bytes_be());
-    h.update(&big_a.to_bytes_be());
-    h.update(&big_b.to_bytes_be());
+    h.update(&(index as u64).to_be_bytes());
+    h.update(&big_a.to_bytes_be_padded(len));
+    h.update(&big_b.to_bytes_be_padded(len));
+    h.update(&shared.to_bytes_be_padded(len));
     h.finalize()
 }
 
-/// First OT message (sender → receiver).
+fn xor_pad(key: &[u8; 32], m: &[u8]) -> Vec<u8> {
+    let pad = kdf(key, b"pem-ot-pad", m.len());
+    m.iter().zip(pad.iter()).map(|(x, y)| x ^ y).collect()
+}
+
+/// First OT message (sender → receiver), one per batch.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OtSenderSetup {
     /// `A = g^a`.
     pub big_a: BigUint,
 }
 
-/// Second OT message (receiver → sender).
+/// Second OT message (receiver → sender), one per transfer.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OtReceiverReply {
     /// `B = g^b` or `A·g^b` depending on the choice bit.
     pub big_b: BigUint,
 }
 
-/// Third OT message (sender → receiver): both branch ciphertexts.
+/// Third OT message (sender → receiver), one per transfer: both branch
+/// ciphertexts.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OtCiphertexts {
     /// `m0 ⊕ KDF(k0)`.
@@ -232,132 +282,161 @@ pub struct OtCiphertexts {
     pub e1: Vec<u8>,
 }
 
-/// Sender side of a single 1-of-2 OT.
+/// Sender side of a batch of 1-of-2 OTs under one setup.
 #[derive(Debug)]
-pub struct OtSender {
+pub struct OtBatchSender {
     group: DhGroup,
     a: BigUint,
     big_a: BigUint,
 }
 
-impl OtSender {
-    /// Starts an OT, producing the setup message.
-    pub fn new<R: Rng + ?Sized>(group: DhGroup, rng: &mut R) -> (OtSender, OtSenderSetup) {
+impl OtBatchSender {
+    /// Starts a batch, producing its one setup message.
+    pub fn new<R: Rng + ?Sized>(group: &DhGroup, rng: &mut R) -> (OtBatchSender, OtSenderSetup) {
+        register_ot_counters();
         let a = group.random_exponent(rng);
         let big_a = group.pow_g(&a);
         let setup = OtSenderSetup {
             big_a: big_a.clone(),
         };
-        (OtSender { group, a, big_a }, setup)
+        let group = group.clone();
+        (OtBatchSender { group, a, big_a }, setup)
     }
 
-    /// Encrypts the two messages against the receiver's reply.
+    /// Encrypts message pair `i` against reply `i`, for every transfer
+    /// of the batch.
     ///
     /// # Errors
     ///
-    /// * [`CryptoError::InvalidOtMessage`] if `B` is not a valid group
-    ///   element or the messages have different lengths.
+    /// [`CryptoError::InvalidOtMessage`] if the reply and message counts
+    /// differ, a pair's messages have different lengths, or any `B_i` is
+    /// not a valid group element.
     pub fn encrypt(
         self,
-        reply: &OtReceiverReply,
-        m0: &[u8],
-        m1: &[u8],
-    ) -> Result<OtCiphertexts, CryptoError> {
-        if m0.len() != m1.len() {
+        replies: &[OtReceiverReply],
+        messages: &[(&[u8], &[u8])],
+    ) -> Result<Vec<OtCiphertexts>, CryptoError> {
+        if replies.len() != messages.len() {
+            return Err(CryptoError::InvalidOtMessage(
+                "reply count does not match the batch",
+            ));
+        }
+        if messages.iter().any(|(m0, m1)| m0.len() != m1.len()) {
             return Err(CryptoError::InvalidOtMessage(
                 "branch messages must have equal length",
             ));
         }
-        self.group.validate_element(&reply.big_b)?;
-        let k0_point = self.group.pow(&reply.big_b, &self.a);
-        let a_inv = self
+        for reply in replies {
+            self.group.validate_element(&reply.big_b)?;
+        }
+        // Every B_i^a, and T = A^a, share one recoding and one scratch.
+        let mont = self.group.mont();
+        let digits = ExpDigits::recode(&self.a);
+        let mut scratch = mont.pow_scratch(&digits);
+        let t = mont.modpow_scratch(&self.big_a, &digits, &mut scratch);
+        let t_inv = self
             .group
-            .inv(&self.big_a)
-            .ok_or(CryptoError::InvalidOtMessage("non-invertible A"))?;
-        let b_over_a = self.group.mul(&reply.big_b, &a_inv);
-        let k1_point = self.group.pow(&b_over_a, &self.a);
-
-        let k0 = derive_key(&k0_point, &self.big_a, &reply.big_b, 0);
-        let k1 = derive_key(&k1_point, &self.big_a, &reply.big_b, 1);
-        let pad0 = kdf(&k0, b"pem-ot-pad", m0.len());
-        let pad1 = kdf(&k1, b"pem-ot-pad", m1.len());
-        Ok(OtCiphertexts {
-            e0: xor(m0, &pad0),
-            e1: xor(m1, &pad1),
-        })
+            .inv(&t)
+            .ok_or(CryptoError::InvalidOtMessage("non-invertible A^a"))?;
+        let cts = replies
+            .iter()
+            .zip(messages)
+            .enumerate()
+            .map(|(i, (reply, (m0, m1)))| {
+                let p0 = mont.modpow_scratch(&reply.big_b, &digits, &mut scratch);
+                let p1 = mont.mul(&p0, &t_inv);
+                let k0 = derive_key(&self.group, i, &self.big_a, &reply.big_b, &p0);
+                let k1 = derive_key(&self.group, i, &self.big_a, &reply.big_b, &p1);
+                OtCiphertexts {
+                    e0: xor_pad(&k0, m0),
+                    e1: xor_pad(&k1, m1),
+                }
+            })
+            .collect();
+        OT_BATCHES.incr();
+        OT_TRANSFERS.add(replies.len() as u64);
+        Ok(cts)
     }
 }
 
-/// Receiver side of a single 1-of-2 OT.
+/// Receiver side of a batch of 1-of-2 OTs under one setup.
 #[derive(Debug)]
-pub struct OtReceiver {
-    group: DhGroup,
-    b: BigUint,
-    choice: bool,
-    big_a: BigUint,
-    big_b: BigUint,
+pub struct OtBatchReceiver {
+    choices: Vec<bool>,
+    keys: Vec<[u8; 32]>,
 }
 
-impl OtReceiver {
-    /// Responds to the sender's setup with the blinded key `B`.
+impl OtBatchReceiver {
+    /// Answers the sender's setup with one blinded key `B_i` per choice
+    /// bit, and derives the matching transfer keys.
     ///
     /// # Errors
     ///
     /// [`CryptoError::InvalidOtMessage`] if `A` is invalid.
     pub fn new<R: Rng + ?Sized>(
-        group: DhGroup,
+        group: &DhGroup,
         setup: &OtSenderSetup,
-        choice: bool,
+        choices: &[bool],
         rng: &mut R,
-    ) -> Result<(OtReceiver, OtReceiverReply), CryptoError> {
-        group.validate_element(&setup.big_a)?;
-        let b = group.random_exponent(rng);
-        let g_b = group.pow_g(&b);
-        let big_b = if choice {
-            group.mul(&setup.big_a, &g_b)
-        } else {
-            g_b
-        };
-        let reply = OtReceiverReply {
-            big_b: big_b.clone(),
-        };
+    ) -> Result<(OtBatchReceiver, Vec<OtReceiverReply>), CryptoError> {
+        let big_a = &setup.big_a;
+        group.validate_element(big_a)?;
+        let a_table =
+            (choices.len() >= RECEIVER_COMB_MIN_BATCH).then(|| group.fixed_base_table(big_a));
+        let mut keys = Vec::with_capacity(choices.len());
+        let mut replies = Vec::with_capacity(choices.len());
+        for (i, &choice) in choices.iter().enumerate() {
+            let b = group.random_exponent(rng);
+            let g_b = group.pow_g(&b);
+            let big_b = if choice { group.mul(big_a, &g_b) } else { g_b };
+            let shared = match &a_table {
+                Some(table) => table.pow(&b),
+                None => group.pow(big_a, &b),
+            };
+            keys.push(derive_key(group, i, big_a, &big_b, &shared));
+            replies.push(OtReceiverReply { big_b });
+        }
         Ok((
-            OtReceiver {
-                group,
-                b,
-                choice,
-                big_a: setup.big_a.clone(),
-                big_b,
+            OtBatchReceiver {
+                choices: choices.to_vec(),
+                keys,
             },
-            reply,
+            replies,
         ))
     }
 
-    /// Decrypts the chosen branch.
+    /// Decrypts the chosen branch of every transfer.
     ///
     /// # Errors
     ///
-    /// [`CryptoError::InvalidOtMessage`] if the ciphertext lengths differ.
-    pub fn decrypt(self, cts: &OtCiphertexts) -> Result<Vec<u8>, CryptoError> {
-        if cts.e0.len() != cts.e1.len() {
+    /// [`CryptoError::InvalidOtMessage`] if the ciphertext count does not
+    /// match the batch or a pair's lengths differ.
+    pub fn decrypt(self, cts: &[OtCiphertexts]) -> Result<Vec<Vec<u8>>, CryptoError> {
+        if cts.len() != self.keys.len() {
             return Err(CryptoError::InvalidOtMessage(
-                "branch ciphertexts must have equal length",
+                "ciphertext count does not match the batch",
             ));
         }
-        let shared = self.group.pow(&self.big_a, &self.b);
-        let k = derive_key(&shared, &self.big_a, &self.big_b, self.choice as u8);
-        let ct = if self.choice { &cts.e1 } else { &cts.e0 };
-        let pad = kdf(&k, b"pem-ot-pad", ct.len());
-        Ok(xor(ct, &pad))
+        cts.iter()
+            .zip(self.keys.iter().zip(&self.choices))
+            .map(|(ct, (key, &choice))| {
+                if ct.e0.len() != ct.e1.len() {
+                    return Err(CryptoError::InvalidOtMessage(
+                        "branch ciphertexts must have equal length",
+                    ));
+                }
+                Ok(xor_pad(key, if choice { &ct.e1 } else { &ct.e0 }))
+            })
+            .collect()
     }
 }
 
-fn xor(a: &[u8], b: &[u8]) -> Vec<u8> {
-    a.iter().zip(b.iter()).map(|(x, y)| x ^ y).collect()
-}
-
-/// Runs both sides of an OT in memory (reference flow used by tests and
-/// the single-process simulator).
+/// Runs both sides of a single OT (a batch of one) in memory — the
+/// reference flow used by tests and kernel benchmarks.
+///
+/// # Errors
+///
+/// Propagates [`OtBatchSender::encrypt`] / [`OtBatchReceiver`] validation failures.
 pub fn run_local_ot<R: Rng + ?Sized>(
     group: &DhGroup,
     m0: &[u8],
@@ -365,10 +444,10 @@ pub fn run_local_ot<R: Rng + ?Sized>(
     choice: bool,
     rng: &mut R,
 ) -> Result<Vec<u8>, CryptoError> {
-    let (sender, setup) = OtSender::new(group.clone(), rng);
-    let (receiver, reply) = OtReceiver::new(group.clone(), &setup, choice, rng)?;
-    let cts = sender.encrypt(&reply, m0, m1)?;
-    receiver.decrypt(&cts)
+    let (sender, setup) = OtBatchSender::new(group, rng);
+    let (receiver, replies) = OtBatchReceiver::new(group, &setup, &[choice], rng)?;
+    let cts = sender.encrypt(&replies, &[(m0, m1)])?;
+    Ok(receiver.decrypt(&cts)?.remove(0))
 }
 
 #[cfg(test)]
@@ -442,44 +521,50 @@ mod tests {
     fn receiver_cannot_decrypt_other_branch() {
         let group = DhGroup::test_192();
         let mut rng = HashDrbg::new(b"ot-other");
-        let (sender, setup) = OtSender::new(group.clone(), &mut rng);
-        let (receiver, reply) =
-            OtReceiver::new(group.clone(), &setup, false, &mut rng).expect("reply");
+        let (sender, setup) = OtBatchSender::new(&group, &mut rng);
+        let (receiver, replies) =
+            OtBatchReceiver::new(&group, &setup, &[false], &mut rng).expect("reply");
         let m0 = [0u8; 16];
         let m1 = [0xFFu8; 16];
-        let cts = sender.encrypt(&reply, &m0, &m1).expect("encrypt");
+        let cts = sender.encrypt(&replies, &[(&m0, &m1)]).expect("encrypt");
         // Receiver chose branch 0; XOR-ing e1 with the derived pad for
         // branch 0 must not yield m1.
         let got = receiver.decrypt(&cts).expect("decrypt");
-        assert_eq!(got, m0);
+        assert_eq!(got, vec![m0.to_vec()]);
         // The unchosen ciphertext stays unpredictable: it differs from m1
         // under the receiver's only derivable key.
-        assert_ne!(cts.e1, m1.to_vec());
+        assert_ne!(cts[0].e1, m1.to_vec());
     }
 
     #[test]
     fn rejects_invalid_elements() {
         let group = DhGroup::test_192();
         let mut rng = HashDrbg::new(b"ot-invalid");
-        let (sender, _setup) = OtSender::new(group.clone(), &mut rng);
+        let (sender, _setup) = OtBatchSender::new(&group, &mut rng);
         let bad = OtReceiverReply {
             big_b: BigUint::one(),
         };
-        assert!(sender.encrypt(&bad, &[0u8; 4], &[1u8; 4]).is_err());
+        assert!(sender.encrypt(&[bad], &[(&[0u8; 4], &[1u8; 4])]).is_err());
 
         let bad_setup = OtSenderSetup {
             big_a: group.p().clone(),
         };
-        assert!(OtReceiver::new(group, &bad_setup, false, &mut rng).is_err());
+        assert!(OtBatchReceiver::new(&group, &bad_setup, &[false], &mut rng).is_err());
     }
 
     #[test]
     fn rejects_mismatched_lengths() {
         let group = DhGroup::test_192();
         let mut rng = HashDrbg::new(b"ot-len");
-        let (sender, setup) = OtSender::new(group.clone(), &mut rng);
-        let (_receiver, reply) = OtReceiver::new(group, &setup, false, &mut rng).expect("reply");
-        assert!(sender.encrypt(&reply, &[0u8; 4], &[1u8; 5]).is_err());
+        let (sender, setup) = OtBatchSender::new(&group, &mut rng);
+        let (receiver, replies) =
+            OtBatchReceiver::new(&group, &setup, &[false], &mut rng).expect("reply");
+        assert!(sender.encrypt(&replies, &[(&[0u8; 4], &[1u8; 5])]).is_err());
+        let uneven = OtCiphertexts {
+            e0: vec![0; 4],
+            e1: vec![0; 5],
+        };
+        assert!(receiver.decrypt(&[uneven]).is_err());
     }
 
     #[test]

@@ -40,6 +40,11 @@ pub enum NetError {
         /// What was being decoded.
         what: &'static str,
     },
+    /// A value did not fit the fixed-width encoding it was written with.
+    Encode {
+        /// What was being encoded.
+        what: &'static str,
+    },
     /// A deadline-aware receive gave up: the expected message had not
     /// arrived by the deadline (transport clock for the deterministic
     /// fabrics, wall clock for threaded mesh endpoints).
@@ -82,6 +87,7 @@ impl fmt::Display for NetError {
             NetError::Decode { offset, what } => {
                 write!(f, "failed to decode {what} at byte {offset}")
             }
+            NetError::Encode { what } => write!(f, "cannot encode {what}"),
             NetError::Timeout {
                 party,
                 expected,

@@ -3,7 +3,10 @@
 //! Table I of the paper reports bytes on the wire, so message sizes must
 //! be well-defined: big integers are length-prefixed big-endian byte
 //! strings, unsigned integers are LEB128 varints, floats are 8-byte IEEE
-//! bit patterns.
+//! bit patterns. Residues of a modulus both ends know (group elements,
+//! ciphertexts) are fixed-width big-endian, `⌈bits(m)/8⌉` bytes with no
+//! length prefix, and decode only below the modulus — so their size
+//! never depends on the value.
 
 use bytes::{BufMut, BytesMut};
 use pem_bignum::BigUint;
@@ -86,6 +89,23 @@ impl WireWriter {
     /// Appends a big integer (length-prefixed big-endian magnitude).
     pub fn put_biguint(&mut self, v: &BigUint) {
         self.put_bytes(&v.to_bytes_be());
+    }
+
+    /// Appends a residue of `modulus` as exactly `⌈bits(modulus)/8⌉`
+    /// big-endian bytes, with no length prefix.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Encode`] if `v ≥ modulus`.
+    pub fn put_biguint_fixed(&mut self, v: &BigUint, modulus: &BigUint) -> Result<(), NetError> {
+        if v >= modulus {
+            return Err(NetError::Encode {
+                what: "residue not below its modulus",
+            });
+        }
+        self.buf
+            .put_slice(&v.to_bytes_be_padded(fixed_len(modulus)));
+        Ok(())
     }
 
     /// Current encoded size in bytes.
@@ -235,6 +255,25 @@ impl<'a> WireReader<'a> {
         Ok(BigUint::from_bytes_be(self.get_bytes()?))
     }
 
+    /// Reads a residue written by [`WireWriter::put_biguint_fixed`]
+    /// with the same `modulus`.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Decode`] on truncation or a value `≥ modulus`.
+    pub fn get_biguint_fixed(&mut self, modulus: &BigUint) -> Result<BigUint, NetError> {
+        let len = fixed_len(modulus);
+        if self.remaining() < len {
+            return Err(self.fail("fixed-width residue"));
+        }
+        let v = BigUint::from_bytes_be(&self.data[self.pos..self.pos + len]);
+        if &v >= modulus {
+            return Err(self.fail("residue not below its modulus"));
+        }
+        self.pos += len;
+        Ok(v)
+    }
+
     /// `true` once all input is consumed.
     pub fn is_empty(&self) -> bool {
         self.pos >= self.data.len()
@@ -244,6 +283,11 @@ impl<'a> WireReader<'a> {
     pub fn remaining(&self) -> usize {
         self.data.len().saturating_sub(self.pos)
     }
+}
+
+/// Bytes of a fixed-width residue of `modulus`.
+fn fixed_len(modulus: &BigUint) -> usize {
+    modulus.bit_length().div_ceil(8)
 }
 
 #[cfg(test)]
@@ -371,5 +415,43 @@ mod tests {
             WireReader::new(&bytes).get_biguint().expect("decode"),
             BigUint::zero()
         );
+    }
+
+    #[test]
+    fn fixed_width_residues() {
+        let modulus = BigUint::from(0x1_0001u64); // 17 bits → 3 bytes
+        for v in [0u64, 1, 0xFF, 0x1_0000] {
+            let mut w = WireWriter::new();
+            w.put_biguint_fixed(&BigUint::from(v), &modulus)
+                .expect("in range");
+            let bytes = w.finish();
+            assert_eq!(bytes.len(), 3, "width is fixed by the modulus");
+            let mut r = WireReader::new(&bytes);
+            assert_eq!(
+                r.get_biguint_fixed(&modulus).expect("decode"),
+                BigUint::from(v)
+            );
+            assert!(r.is_empty());
+        }
+        let mut w = WireWriter::new();
+        assert!(matches!(
+            w.put_biguint_fixed(&modulus, &modulus),
+            Err(NetError::Encode { .. })
+        ));
+        assert!(w.is_empty(), "a rejected value writes nothing");
+    }
+
+    #[test]
+    fn fixed_width_rejects_out_of_range_and_truncation() {
+        let modulus = BigUint::from(0x1_0001u64);
+        for bytes in [[0x01u8, 0x00, 0x01], [0xFF, 0xFF, 0xFF]] {
+            let mut r = WireReader::new(&bytes);
+            assert!(matches!(
+                r.get_biguint_fixed(&modulus),
+                Err(NetError::Decode { .. })
+            ));
+        }
+        let short = [0u8; 2];
+        assert!(WireReader::new(&short).get_biguint_fixed(&modulus).is_err());
     }
 }

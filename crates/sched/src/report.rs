@@ -33,9 +33,19 @@ impl ShardOutcome {
         sha256(&buf)
     }
 
-    /// Appends the shard's canonical serialization (the per-shard chunk
-    /// of [`GridReport::fingerprint`]) to `buf`.
-    fn fold(&self, buf: &mut Vec<u8>) {
+    /// Digest of the shard's market outcome alone: membership, regime,
+    /// price bits and trades. Unlike [`ShardOutcome::fingerprint`] it
+    /// leaves out the disclosure surface, so it depends on the market
+    /// data and never on the crypto streams or wire encodings.
+    pub fn market_fingerprint(&self) -> [u8; 32] {
+        let mut buf = Vec::with_capacity(96);
+        buf.extend_from_slice(b"pem-shard-market-v1");
+        self.fold_market(&mut buf);
+        sha256(&buf)
+    }
+
+    /// Appends the market-outcome part of the shard's serialization.
+    fn fold_market(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&(self.shard as u64).to_be_bytes());
         buf.extend_from_slice(&(self.members.len() as u64).to_be_bytes());
         for &m in &self.members {
@@ -54,6 +64,12 @@ impl ShardOutcome {
             buf.extend_from_slice(&t.energy.to_bits().to_be_bytes());
             buf.extend_from_slice(&t.payment.to_bits().to_be_bytes());
         }
+    }
+
+    /// Appends the shard's canonical serialization (the per-shard chunk
+    /// of [`GridReport::fingerprint`]) to `buf`.
+    fn fold(&self, buf: &mut Vec<u8>) {
+        self.fold_market(buf);
         // The sanctioned disclosure surface is seed-dependent (nonce
         // masses, ratio quantization); folding it in makes the
         // fingerprint sensitive to the crypto streams as well.
@@ -311,6 +327,20 @@ impl GridReport {
                     CoalitionStatus::Quarantined { .. } => buf.push(2),
                 }
             }
+        }
+        sha256(&buf)
+    }
+
+    /// Digest of the window's market outcome: every cleared shard's
+    /// membership, regime, price bits and trades, in shard order. It
+    /// leaves out traffic, the disclosure surface and the settlement
+    /// tip, so a change to the crypto or the wire codec keeps it
+    /// bit-identical while [`GridReport::fingerprint`] moves.
+    pub fn market_fingerprint(&self) -> [u8; 32] {
+        let mut buf = Vec::with_capacity(32 + self.shard_outcomes.len() * 64);
+        buf.extend_from_slice(b"pem-grid-market-v1");
+        for so in &self.shard_outcomes {
+            so.fold_market(&mut buf);
         }
         sha256(&buf)
     }

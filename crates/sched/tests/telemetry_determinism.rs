@@ -41,11 +41,11 @@ fn run(workers: usize) -> Vec<pem_sched::GridReport> {
         .collect()
 }
 
-/// Same goldens as `fingerprint_golden.rs` — the telemetry-on run must
-/// still hit the pre-telemetry bits.
+/// Same goldens as `fingerprint_golden.rs` (re-pinned there, with the
+/// reason) — the telemetry-on run must hit the same bits.
 const GOLDEN: [&str; 2] = [
-    "4ee83e434d00ddbf0369d5163500deb5a20f904967684b0b6d715c0a552a4e91",
-    "8ffba214d4af7dabd9e9e5a5ff87d3cd4ba87082b36002a3e0dca90b5458fd11",
+    "7d5aa7a0ec5c7ded1bc6ba30938b733025e7e842769600cf27cff21db822aecd",
+    "1fdc5ad0f1ce062992b27576e302d50d2833508e6e43b3fe55fdbc5cc2905c53",
 ];
 
 fn hex(bytes: &[u8]) -> String {
@@ -107,5 +107,13 @@ fn collector_on_and_off_produce_identical_fingerprints() {
     assert!(
         get("pool/hit") + get("pool/miss") > 0,
         "randomizer pool counters never bumped"
+    );
+    // Every comparison is one OT batch of `compare_bits` transfers.
+    let batches = get("ot/batches");
+    assert!(batches > 0, "OT batch counter never bumped");
+    assert_eq!(
+        get("ot/transfers"),
+        batches * PemConfig::fast_test().compare_bits as u64,
+        "one batch per comparison, one transfer per evaluator bit"
     );
 }
