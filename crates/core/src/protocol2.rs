@@ -486,8 +486,8 @@ fn recv_requests<T: Transport>(
 ) -> Result<CompareOtRequests, PemError> {
     let env = net.recv_expect(at, "eval/gc-ot-request")?;
     let mut r = WireReader::new(&env.payload);
-    let len = r.get_varint()? as usize;
-    let mut replies = Vec::with_capacity(len);
+    let len = r.get_varint()?;
+    let mut replies = Vec::new();
     for _ in 0..len {
         replies.push(OtReceiverReply {
             big_b: r.get_biguint_fixed(group.p())?,
