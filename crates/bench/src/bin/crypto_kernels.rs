@@ -18,11 +18,11 @@
 //!
 //! ```text
 //! cargo run --release -p pem-bench --bin crypto_kernels -- \
-//!     --bits 512,1024,2048 --ot-groups test192,modp1024,modp2048 \
-//!     --min-time-ms 300 --run-label dev
+//!     --bits 512,1024,2048 --min-time-ms 300 --run-label dev
 //! ```
 //!
-//! `--bits none` or `--ot-groups none` skips that half. Output: one JSON
+//! The OT rows always cover all three OT groups; `--bits none` skips the
+//! Paillier half. Output: one JSON
 //! *trajectory run* (`{"run": …, "entries": […]}`, an entry per key size
 //! keyed by `key_bits`, then one per OT group keyed by `ot_group`)
 //! followed by a human-readable table. CI runs a
@@ -335,15 +335,8 @@ fn bench_size(bits: usize, min_time_ms: u64) -> SizeReport {
 /// Transfers per batch in the `ot_batch64` row: the comparator's width.
 const OT_BATCH: usize = 64;
 
-/// `--ot-groups` names.
-const OT_GROUPS: [(&str, OtProfile); 3] = [
-    ("test192", OtProfile::Test192),
-    ("modp1024", OtProfile::Modp1024),
-    ("modp2048", OtProfile::Modp2048),
-];
-
 struct OtReport {
-    group: &'static str,
+    group: String,
     group_bits: usize,
     kernels: Vec<Kernel>,
 }
@@ -351,7 +344,7 @@ struct OtReport {
 /// One OT group's rows, interleaved: a single transfer, a batch of
 /// [`OT_BATCH`] and a whole 64-bit comparison. Every call checks its
 /// result.
-fn bench_ot(name: &'static str, profile: OtProfile, min_time_ms: u64) -> OtReport {
+fn bench_ot(profile: OtProfile, min_time_ms: u64) -> OtReport {
     let group = profile.group();
     let mut rng = HashDrbg::from_seed_label(b"crypto-kernels-ot", group.p().bit_length() as u64);
     let mut rng_single = HashDrbg::new(b"bench-ot-single");
@@ -392,7 +385,7 @@ fn bench_ot(name: &'static str, profile: OtProfile, min_time_ms: u64) -> OtRepor
         &mut [&mut single, &mut batch, &mut compare],
     );
     OtReport {
-        group: name,
+        group: format!("{profile:?}").to_lowercase(),
         group_bits: group.p().bit_length(),
         kernels,
     }
@@ -446,20 +439,11 @@ fn main() {
     let bits = args.get_usize_list("bits", &[512, 1024, 2048]);
     let min_time_ms = args.get_u64("min-time-ms", 300);
     let label = args.get_str("run-label", "dev");
-    let ot_groups = args.get_str("ot-groups", "test192,modp1024,modp2048");
 
     let reports: Vec<SizeReport> = bits.iter().map(|&b| bench_size(b, min_time_ms)).collect();
-    let ot: Vec<OtReport> = ot_groups
-        .split(',')
-        .map(str::trim)
-        .filter(|g| !g.is_empty() && *g != "none")
-        .map(|g| match OT_GROUPS.iter().find(|(name, _)| *name == g) {
-            Some(&(name, profile)) => bench_ot(name, profile, min_time_ms),
-            None => {
-                eprintln!("unknown OT group {g:?} (test192, modp1024, modp2048)");
-                std::process::exit(2);
-            }
-        })
+    let ot: Vec<OtReport> = [OtProfile::Test192, OtProfile::Modp1024, OtProfile::Modp2048]
+        .into_iter()
+        .map(|profile| bench_ot(profile, min_time_ms))
         .collect();
 
     println!("{}", json(&label, &reports, &ot));

@@ -36,10 +36,8 @@ pub struct CompareOffer {
     pub garbled: GarbledCircuit,
     /// Active labels for the garbler's input bits.
     pub garbler_labels: Vec<Label>,
-    /// The setup of the batched OT for the evaluator's input bits —
-    /// exactly one; [`CompareEvaluator::respond`] rejects any other
-    /// count.
-    pub ot_setups: Vec<OtSenderSetup>,
+    /// The setup of the batched OT for the evaluator's input bits.
+    pub ot_setup: OtSenderSetup,
 }
 
 /// Message 2: the evaluator's OT replies (one per input bit).
@@ -98,7 +96,7 @@ impl CompareGarbler {
                 width,
                 garbled,
                 garbler_labels,
-                ot_setups: vec![setup],
+                ot_setup: setup,
             },
         ))
     }
@@ -156,14 +154,13 @@ impl CompareEvaluator {
         if offer.garbled.circuit().garbler_inputs() != width
             || offer.garbled.circuit().evaluator_inputs() != width
             || offer.garbler_labels.len() != width
-            || offer.ot_setups.len() != 1
         {
             return Err(CircuitError::MalformedGarbling(
                 "offer shape does not match declared width",
             ));
         }
         let bits = u128_to_bits(value, width);
-        let (receiver, replies) = OtBatchReceiver::new(group, &offer.ot_setups[0], &bits, rng)?;
+        let (receiver, replies) = OtBatchReceiver::new(group, &offer.ot_setup, &bits, rng)?;
         Ok((
             CompareEvaluator {
                 receiver,
@@ -259,20 +256,7 @@ mod tests {
         let g = group();
         let mut rng = HashDrbg::new(b"cmp-malformed");
         let (_garbler, mut offer) = CompareGarbler::start(8, 5, &g, &mut rng).expect("start");
-        offer.ot_setups.pop();
-        assert!(matches!(
-            CompareEvaluator::respond(offer, 9, &g, &mut rng),
-            Err(CircuitError::MalformedGarbling(_))
-        ));
-    }
-
-    #[test]
-    fn rejects_offer_with_more_than_one_ot_setup() {
-        let g = group();
-        let mut rng = HashDrbg::new(b"cmp-two-setups");
-        let (_garbler, mut offer) = CompareGarbler::start(8, 5, &g, &mut rng).expect("start");
-        assert_eq!(offer.ot_setups.len(), 1, "one batched OT per comparison");
-        offer.ot_setups.push(offer.ot_setups[0].clone());
+        offer.garbler_labels.pop();
         assert!(matches!(
             CompareEvaluator::respond(offer, 9, &g, &mut rng),
             Err(CircuitError::MalformedGarbling(_))

@@ -405,10 +405,7 @@ fn send_offer<T: Transport>(
     for l in &offer.garbler_labels {
         put_label(&mut w, l);
     }
-    w.put_varint(offer.ot_setups.len() as u64);
-    for s in &offer.ot_setups {
-        w.put_biguint_fixed(&s.big_a, group.p())?;
-    }
+    w.put_biguint_fixed(&offer.ot_setup.big_a, group.p())?;
     net.send(from, to, "eval/gc-offer", w.finish())?;
     Ok(())
 }
@@ -446,20 +443,16 @@ fn recv_offer<T: Transport>(
     for _ in 0..labels_len {
         garbler_labels.push(get_label(&mut r)?);
     }
-    let setups_len = r.get_varint()?;
-    let mut ot_setups = Vec::new();
-    for _ in 0..setups_len {
-        ot_setups.push(OtSenderSetup {
-            big_a: r.get_biguint_fixed(group.p())?,
-        });
-    }
+    let ot_setup = OtSenderSetup {
+        big_a: r.get_biguint_fixed(group.p())?,
+    };
     // The comparator topology is public: rebuild it locally.
     let garbled = GarbledCircuit::from_parts(comparator_circuit(width), and_tables, output_decode)?;
     Ok(CompareOffer {
         width,
         garbled,
         garbler_labels,
-        ot_setups,
+        ot_setup,
     })
 }
 

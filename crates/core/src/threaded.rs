@@ -12,12 +12,13 @@ use std::sync::Arc;
 
 use pem_bignum::BigUint;
 use pem_crypto::drbg::HashDrbg;
-use pem_crypto::paillier::{Ciphertext, Keypair, PublicKey};
+use pem_crypto::paillier::{Keypair, PublicKey};
 use pem_net::runtime::run_parties;
 use pem_net::wire::{WireReader, WireWriter};
 use pem_net::{MeshTransport, NetStats, PartyId};
 
 use crate::agents::AgentCtx;
+use crate::codec::{get_ct, put_ct};
 use crate::config::PemConfig;
 use crate::error::PemError;
 use crate::keys::KeyDirectory;
@@ -128,18 +129,16 @@ pub fn pricing_ring_threaded(
                 } else {
                     let env = ep.recv_expect("price/agg").map_err(|e| e.to_string())?;
                     let mut r = WireReader::new(&env.payload);
-                    let k_in =
-                        Ciphertext::from_biguint(r.get_biguint().map_err(|e| e.to_string())?);
-                    let d_in =
-                        Ciphertext::from_biguint(r.get_biguint().map_err(|e| e.to_string())?);
+                    let k_in = get_ct(&mut r, &pk).map_err(|e| e.to_string())?;
+                    let d_in = get_ct(&mut r, &pk).map_err(|e| e.to_string())?;
                     (
                         pk.add_ciphertexts(&k_in, &k_ct),
                         pk.add_ciphertexts(&d_in, &d_ct),
                     )
                 };
                 let mut w = WireWriter::new();
-                w.put_biguint(k_out.as_biguint());
-                w.put_biguint(d_out.as_biguint());
+                put_ct(&mut w, &pk, &k_out).map_err(|e| e.to_string())?;
+                put_ct(&mut w, &pk, &d_out).map_err(|e| e.to_string())?;
                 ep.send(*next, "price/agg", w.finish())
                     .map_err(|e| e.to_string())?;
                 // Sellers also hear the broadcast.
@@ -152,8 +151,8 @@ pub fn pricing_ring_threaded(
             RolePlan::Decryptor { keypair, parties } => {
                 let env = ep.recv_expect("price/agg").map_err(|e| e.to_string())?;
                 let mut r = WireReader::new(&env.payload);
-                let k_ct = Ciphertext::from_biguint(r.get_biguint().map_err(|e| e.to_string())?);
-                let d_ct = Ciphertext::from_biguint(r.get_biguint().map_err(|e| e.to_string())?);
+                let k_ct = get_ct(&mut r, &pk).map_err(|e| e.to_string())?;
+                let d_ct = get_ct(&mut r, &pk).map_err(|e| e.to_string())?;
                 let sk = keypair.private();
                 let k_sum = sk
                     .decrypt(&k_ct)
@@ -267,8 +266,13 @@ mod tests {
             seq.price
         );
 
-        // Traffic pattern: |sellers| ring messages + (n−1) broadcasts.
+        // Traffic pattern: |sellers| ring messages + (n−1) broadcasts,
+        // and the ring carries the sequential run's fixed-width bytes.
         assert_eq!(stats.per_label["price/agg"].messages, sellers.len() as u64);
+        assert_eq!(
+            stats.per_label["price/agg"].bytes,
+            net.stats().per_label["price/agg"].bytes
+        );
         assert_eq!(
             stats.per_label["price/broadcast"].messages,
             (agents.len() - 1) as u64

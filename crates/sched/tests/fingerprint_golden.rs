@@ -59,13 +59,14 @@ fn fingerprints(workers: usize) -> Vec<String> {
 
 /// Re-pinned when the comparison moved to one batched oblivious transfer
 /// and ciphertexts/group elements to fixed-width encodings: both change
-/// `net.total_bytes`, and the batch draws one OT setup per comparison
+/// `net.total_bytes` (the offer carries its one OT setup without a
+/// count), and the batch draws one OT setup per comparison
 /// instead of one per bit, which moves the DRBG stream. The market
 /// goldens below did not move. To inspect current values:
 /// `cargo test -p pem-sched --test fingerprint_golden -- --nocapture`.
 const GOLDEN: [&str; 2] = [
-    "7d5aa7a0ec5c7ded1bc6ba30938b733025e7e842769600cf27cff21db822aecd",
-    "1fdc5ad0f1ce062992b27576e302d50d2833508e6e43b3fe55fdbc5cc2905c53",
+    "de13123e3d94accc54b1aa8e3bb5f9a9201619790a8358818c4c48eed7942cd7",
+    "cd89e9a1639198f831ce54704643db93a26180104733c3e96f2c1db69ed6f2ab",
 ];
 
 #[test]
